@@ -4,11 +4,20 @@ The E4/E5 sweeps, the router comparisons, and the enumeration searches
 solve thousands of *independent* max-min instances.  Solving them one
 at a time pays the per-round Python/NumPy dispatch overhead once per
 instance per round; for the small-to-medium instances those workloads
-produce, dispatch dominates arithmetic.  This module stacks N
+produce, dispatch dominates arithmetic.  This module compiles N
 independent routings into **one block-diagonal CSR incidence** (each
-scenario's flows and links occupy a contiguous index range, reusing the
-:func:`repro.core.vectorized.compile_routing` compile path per
-scenario) and water-fills *all scenarios simultaneously*:
+scenario's flows and links occupy a contiguous index range) and
+water-fills *all scenarios simultaneously*.
+
+Compilation (:func:`compile_batch`) lowers the whole batch in one
+call.  Each distinct path is interned once per capacity mapping, so a
+flow costs one dict lookup.  The CSR arrays are then built by NumPy
+passes of :data:`COMPILE_CHUNK` scenarios each.  The arrays are
+element-for-element what stacking per-scenario
+:func:`repro.core.vectorized.compile_routing` outputs would give, and
+malformed scenarios raise ``compile_routing``'s typed errors.
+
+Each round of the water-fill then takes:
 
 - one masked divide computes every unsaturated link's level across the
   whole batch,
@@ -43,21 +52,28 @@ measured crossover points and the bench scenario ``batched_sweep``.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.allocation import Allocation, Rate
+from repro.core.flows import Flow
 from repro.core.routing import Link, Routing
 from repro.core.vectorized import (
-    CompiledRouting,
+    _np,
     _require_numpy,
     _row_hits,
-    capacity_vector,
     compile_routing,
 )
 from repro.core import vectorized as _vectorized
 from repro.obs import counter, trace_span
 
 _INF = float("inf")
+
+#: Scenarios :func:`compile_batch` lowers per NumPy pass.  Bounds the
+#: pass's int64 temporaries (sort keys, inverse and argsort arrays over
+#: the chunk's incidence entries) whatever the batch size; at 64 the
+#: per-pass dispatch cost is already negligible.
+COMPILE_CHUNK = 64
 
 #: Observability instruments (no-ops unless ``repro.obs`` is enabled).
 _SOLVES = counter("batched.solves")
@@ -98,16 +114,17 @@ class CompiledBatch:
     ``caps`` is the concatenated per-scenario capacity vector.
     ``scn_of_flow``/``scn_of_link`` map global ids back to scenarios.
 
-    ``parts`` holds each scenario's :class:`CompiledRouting` so rate
-    arrays can be lifted back to :class:`Allocation` objects; a batch
-    rebuilt from bare arrays in a worker process (:meth:`from_arrays`)
-    has ``parts is None`` — the kernel never needs the objects.
+    ``flows`` holds each scenario's flow list, index-aligned with its
+    rate slice, so rate arrays can be lifted back to :class:`Allocation`
+    objects; a batch rebuilt from bare arrays in a worker process
+    (:meth:`from_arrays`) has ``flows is None`` — the kernel never needs
+    the objects.
     """
 
-    __slots__ = ("parts",) + ARRAY_NAMES
+    __slots__ = ("flows",) + ARRAY_NAMES
 
-    def __init__(self, parts: Optional[List[CompiledRouting]], arrays) -> None:
-        self.parts = parts
+    def __init__(self, flows: Optional[List[List[Flow]]], arrays) -> None:
+        self.flows = flows
         for name in ARRAY_NAMES:
             setattr(self, name, arrays[name])
 
@@ -135,96 +152,316 @@ class CompiledBatch:
         )
 
 
+class _PathTable:
+    """Paths interned per capacity mapping (:func:`compile_batch`'s state).
+
+    A *slot* is one ``(capacity mapping, link)`` pair whose capacity is
+    finite; ``caps[slot]`` is that capacity as a float.  Each distinct
+    path is lowered once per mapping to the tuple of its links' slots in
+    path order (infinite links dropped), so every further flow on it
+    costs one dict lookup.  A path lowers to ``None`` when
+    :func:`~repro.core.vectorized.compile_routing` would reject a
+    scenario containing it: a link the mapping lacks, a capacity that is
+    negative, not comparable or not float-convertible, or no finite link
+    at all.  Each traversed link is validated once per mapping.
+    """
+
+    def __init__(self) -> None:
+        self.caps: List[float] = []
+        self.rows: List[Optional[Tuple[int, ...]]] = []
+        # id(mapping) -> (mapping, path -> row id, link -> slot); the
+        # mapping itself is held so its id cannot be reused mid-batch.
+        self._mappings: Dict[int, Tuple[Mapping, Dict, Dict]] = {}
+
+    def row_ids(self, routing: Routing, capacities: Mapping[Link, Rate]):
+        """The interned row id of every flow's path, in flow order."""
+        entry = self._mappings.get(id(capacities))
+        if entry is None:
+            entry = self._mappings[id(capacities)] = (capacities, {}, {})
+        _, rows_of, slots_of = entry
+        paths = routing.paths()
+        ids = list(map(rows_of.get, paths))
+        if None in ids:
+            ids = [
+                self._intern(path, capacities, rows_of, slots_of)
+                if row is None else row
+                for path, row in zip(paths, ids)
+            ]
+        return ids
+
+    def _intern(self, path, capacities, rows_of, slots_of) -> int:
+        row_id = rows_of.get(path)
+        if row_id is not None:  # a repeat within the same routing
+            return row_id
+        row: Optional[List[int]] = []
+        for link in zip(path, path[1:]):
+            if link not in slots_of:
+                slots_of[link] = self._slot(link, capacities)
+            slot = slots_of[link]
+            if slot is None:
+                row = None
+                break
+            if slot >= 0:
+                row.append(slot)
+        row_id = rows_of[path] = len(self.rows)
+        self.rows.append(tuple(row) if row else None)
+        return row_id
+
+    def _slot(self, link: Link, capacities: Mapping[Link, Rate]):
+        """``link``'s new slot; ``-1`` if infinite, ``None`` if invalid."""
+        if link not in capacities:
+            return None
+        capacity = capacities[link]
+        try:
+            if capacity < 0:
+                return None
+            value = float(capacity)
+        except (TypeError, ValueError, OverflowError):
+            # Not comparable or not float-convertible (a huge integer):
+            # compile_routing re-raises it for the scenario.
+            return None
+        if value == _INF:
+            return -1
+        self.caps.append(value)
+        return len(self.caps) - 1
+
+
+def _offsets(counts):
+    """``[0, c0, c0+c1, ...]`` — CSR pointers from per-row counts."""
+    np = _np
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _ranges(starts, lens):
+    """The index ranges ``starts[i]:starts[i]+lens[i]``, back to back."""
+    np = _np
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(
+        starts - (ends - lens), lens
+    )
+
+
+def _raise_first_error(chunk, flow_counts, failing_flow: int) -> None:
+    """Re-raise ``compile_routing``'s own error for the failing scenario.
+
+    ``failing_flow`` is the chunk-local index of the first flow whose
+    path did not lower; its scenario is the first one in batch order
+    that ``compile_routing`` rejects, and compiling it alone raises the
+    exact typed error (and message) a per-instance solve would.
+    """
+    np = _np
+    scenario = int(
+        np.searchsorted(np.cumsum(flow_counts), failing_flow, side="right")
+    )
+    compile_routing(*chunk[scenario])
+    raise AssertionError(
+        "compile_routing accepted a scenario compile_batch rejected"
+    )
+
+
+def _lower_chunk(table: _PathTable, chunk, row_ids, flow_counts):
+    """One NumPy pass over a chunk of scenarios' interned rows.
+
+    Returns chunk-local ``(flow_degree, flow_link, link_degree,
+    link_flow, scenario_links, caps)``: link ids number each scenario's
+    finite links in first-occurrence order, and ``link_flow`` lists each
+    link's flows in flow order — exactly what ``compile_routing`` builds
+    per scenario.
+    """
+    np = _np
+    S = len(flow_counts)
+    used, row_of_flow = np.unique(
+        np.asarray(row_ids, dtype=np.int64), return_inverse=True
+    )
+    rows = [table.rows[r] for r in used.tolist()]
+    if None in rows:
+        bad = np.fromiter((row is None for row in rows), bool, len(rows))
+        _raise_first_error(
+            chunk, flow_counts, int(np.argmax(bad[row_of_flow]))
+        )
+    row_lens = np.fromiter(map(len, rows), np.int64, len(rows))
+    flat = np.fromiter(
+        chain.from_iterable(rows), np.int64, int(row_lens.sum())
+    )
+    flow_degree = row_lens[row_of_flow]
+    slot = flat[_ranges(_offsets(row_lens)[row_of_flow], flow_degree)]
+    scn_of_flow = np.repeat(np.arange(S, dtype=np.int64), flow_counts)
+    scn_of_entry = np.repeat(scn_of_flow, flow_degree)
+
+    # A link is a (scenario, slot) pair; number them by first occurrence.
+    key = scn_of_entry * max(len(table.caps), 1) + slot
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first), dtype=np.int64)
+    flow_link = rank[inverse]
+    link_slot = np.empty(len(first), dtype=np.int64)
+    link_slot[flow_link] = slot
+    link_scn = np.empty(len(first), dtype=np.int64)
+    link_scn[flow_link] = scn_of_entry
+
+    flow_of_entry = np.repeat(
+        np.arange(len(flow_degree), dtype=np.int64), flow_degree
+    )
+    link_flow = flow_of_entry[np.argsort(flow_link, kind="stable")]
+    caps = np.fromiter(
+        map(table.caps.__getitem__, link_slot.tolist()),
+        np.float64,
+        len(link_slot),
+    )
+    return (
+        flow_degree,
+        flow_link,
+        np.bincount(flow_link, minlength=len(first)),
+        link_flow,
+        np.bincount(link_scn, minlength=S),
+        caps,
+    )
+
+
+def _batch(flows, flow_degree, flow_link, link_degree, link_flow,
+           flow_counts, link_counts, caps) -> CompiledBatch:
+    """A :class:`CompiledBatch` from per-flow/per-link degrees and
+    per-scenario flow/link counts (the pointer arrays are their
+    running sums)."""
+    np = _np
+    S = len(flow_counts)
+    scenarios = np.arange(S, dtype=np.int64)
+    arrays = {
+        "flow_ptr": _offsets(flow_degree),
+        "flow_link": flow_link,
+        "link_ptr": _offsets(link_degree),
+        "link_flow": link_flow,
+        "scn_flow_ptr": _offsets(flow_counts),
+        "scn_link_ptr": _offsets(link_counts),
+        "scn_of_flow": np.repeat(scenarios, flow_counts),
+        "scn_of_link": np.repeat(scenarios, link_counts),
+        "caps": caps,
+    }
+    return CompiledBatch(flows, arrays)
+
+
 def compile_batch(
     instances: Sequence[Tuple[Routing, Mapping[Link, Rate]]],
 ) -> CompiledBatch:
-    """Compile every ``(routing, capacities)`` pair and stack the results.
+    """Compile every ``(routing, capacities)`` pair into one batch.
 
-    Each scenario goes through the per-instance
-    :func:`~repro.core.vectorized.compile_routing` path (so unbounded
-    flows and malformed capacities raise the same typed errors), then
-    the CSR arrays are concatenated with per-scenario offsets into one
-    block-diagonal incidence.
+    All scenarios are lowered together: each distinct path is interned
+    once per capacity mapping (every traversed link validated and
+    float-converted once), so a flow costs one dict lookup, and the
+    block-diagonal CSR arrays are built by NumPy passes over
+    :data:`COMPILE_CHUNK` scenarios at a time.  The arrays are
+    element-for-element those of stacking per-scenario
+    :func:`~repro.core.vectorized.compile_routing` outputs with
+    offsets.  A scenario ``compile_routing`` rejects raises its typed
+    error (:class:`~repro.errors.UnknownLinkError`,
+    :class:`~repro.errors.CapacityValidationError`,
+    :class:`~repro.errors.UnboundedRateError`) with the same message;
+    the first such scenario in batch order wins.
     """
-    parts: List[CompiledRouting] = []
-    caps_vectors = []
-    for routing, capacities in instances:
-        compiled = compile_routing(routing, capacities)
-        parts.append(compiled)
-        caps_vectors.append(capacity_vector(compiled, capacities))
-    return _stack_parts(parts, caps_vectors)
-
-
-def _stack_parts(
-    parts: List[CompiledRouting], caps_vectors: List[Any]
-) -> CompiledBatch:
-    """Stack already-compiled scenarios into one block-diagonal batch."""
     np = _require_numpy()
-    S = len(parts)
-    flow_counts = np.asarray([len(p.flows) for p in parts], dtype=np.int64)
-    link_counts = np.asarray([len(p.links) for p in parts], dtype=np.int64)
-    scn_flow_ptr = np.zeros(S + 1, dtype=np.int64)
-    np.cumsum(flow_counts, out=scn_flow_ptr[1:])
-    scn_link_ptr = np.zeros(S + 1, dtype=np.int64)
-    np.cumsum(link_counts, out=scn_link_ptr[1:])
-
-    flow_ptr_parts = [np.zeros(1, dtype=np.int64)]
-    flow_link_parts = []
-    link_ptr_parts = [np.zeros(1, dtype=np.int64)]
-    link_flow_parts = []
-    nnz = 0
-    for s, p in enumerate(parts):
-        flow_ptr_parts.append(np.asarray(p.flow_ptr[1:], dtype=np.int64) + nnz)
-        flow_link_parts.append(
-            np.asarray(p.flow_link, dtype=np.int64) + scn_link_ptr[s]
+    pairs = list(instances)
+    table = _PathTable()
+    flows: List[List[Flow]] = []
+    flow_degree, flow_link, link_degree, link_flow = [], [], [], []
+    flow_counts: List[int] = []
+    link_counts, caps = [], []
+    n_flows = n_links = 0
+    for start in range(0, len(pairs), COMPILE_CHUNK):
+        chunk = pairs[start:start + COMPILE_CHUNK]
+        row_ids: List[int] = []
+        counts: List[int] = []
+        for routing, capacities in chunk:
+            flows.append(routing.flows())
+            ids = table.row_ids(routing, capacities)
+            row_ids.extend(ids)
+            counts.append(len(ids))
+        f_deg, f_link, l_deg, l_flow, scn_links, c = _lower_chunk(
+            table, chunk, row_ids, counts
         )
-        link_ptr_parts.append(np.asarray(p.link_ptr[1:], dtype=np.int64) + nnz)
-        link_flow_parts.append(
-            np.asarray(p.link_flow, dtype=np.int64) + scn_flow_ptr[s]
-        )
-        nnz += int(p.flow_link.size)
+        flow_counts.extend(counts)
+        flow_degree.append(f_deg)
+        flow_link.append(f_link + n_links)
+        link_degree.append(l_deg)
+        link_flow.append(l_flow + n_flows)
+        link_counts.append(scn_links)
+        caps.append(c)
+        n_flows += len(f_deg)
+        n_links += len(l_deg)
 
-    def _concat(chunks, dtype):
-        if not chunks:
-            return np.zeros(0, dtype=dtype)
-        return np.concatenate(chunks).astype(dtype, copy=False)
+    def _concat(chunks, dtype=np.int64):
+        return np.concatenate(chunks) if chunks else np.zeros(0, dtype)
 
-    arrays = {
-        "flow_ptr": _concat(flow_ptr_parts, np.int64),
-        "flow_link": _concat(flow_link_parts, np.int64),
-        "link_ptr": _concat(link_ptr_parts, np.int64),
-        "link_flow": _concat(link_flow_parts, np.int64),
-        "scn_flow_ptr": scn_flow_ptr,
-        "scn_link_ptr": scn_link_ptr,
-        "scn_of_flow": np.repeat(np.arange(S, dtype=np.int64), flow_counts),
-        "scn_of_link": np.repeat(np.arange(S, dtype=np.int64), link_counts),
-        "caps": _concat(caps_vectors, np.float64),
-    }
-    _SCENARIOS.inc(S)
-    return CompiledBatch(parts, arrays)
+    _SCENARIOS.inc(len(pairs))
+    return _batch(
+        flows,
+        _concat(flow_degree),
+        _concat(flow_link),
+        _concat(link_degree),
+        _concat(link_flow),
+        np.asarray(flow_counts, dtype=np.int64),
+        _concat(link_counts),
+        _concat(caps, np.float64),
+    )
 
 
-def _round_estimates(parts: List[CompiledRouting], caps_vectors) -> List[int]:
+def _round_estimates(batch: CompiledBatch):
     """Estimated water-filling round count per scenario.
 
     Each round freezes every link sitting at the current water level, so
     the number of rounds a scenario takes is at most — and in practice
     close to — its number of *distinct initial fill levels*
-    ``capacity / degree`` over links with at least one flow.  The
-    estimate only drives scheduling (:func:`solve_max_min_batch`'s
-    ``sub_batches=`` ordering); it never touches the arithmetic.
+    ``capacity / degree`` (every compiled link carries at least one
+    flow).  The estimate only drives scheduling
+    (:func:`solve_max_min_batch`'s ``sub_batches=`` ordering); it never
+    touches the arithmetic.
     """
-    np = _require_numpy()
-    estimates: List[int] = []
-    for compiled, caps in zip(parts, caps_vectors):
-        degree = np.diff(np.asarray(compiled.link_ptr, dtype=np.int64))
-        loaded = degree > 0
-        if not loaded.any():
-            estimates.append(0)
-            continue
-        levels = np.asarray(caps, dtype=np.float64)[loaded] / degree[loaded]
-        estimates.append(int(np.unique(levels).size))
-    return estimates
+    np = _np
+    levels = batch.caps / np.diff(batch.link_ptr)
+    order = np.lexsort((levels, batch.scn_of_link))
+    scn, levels = batch.scn_of_link[order], levels[order]
+    distinct = np.ones(len(order), dtype=bool)
+    distinct[1:] = (scn[1:] != scn[:-1]) | (levels[1:] != levels[:-1])
+    return np.bincount(scn[distinct], minlength=batch.num_scenarios)
+
+
+def _take_scenarios(batch: CompiledBatch, order) -> CompiledBatch:
+    """The batch with its scenarios rearranged into ``order``.
+
+    Each scenario's block keeps its internal flow and link numbering, so
+    the result equals compiling the reordered instances.
+    """
+    np = _np
+    flow_counts = np.diff(batch.scn_flow_ptr)[order]
+    link_counts = np.diff(batch.scn_link_ptr)[order]
+    # new id -> old id, and its inverse, for flows and links
+    flow_old = _ranges(batch.scn_flow_ptr[order], flow_counts)
+    link_old = _ranges(batch.scn_link_ptr[order], link_counts)
+    flow_new = np.empty_like(flow_old)
+    flow_new[flow_old] = np.arange(len(flow_old), dtype=np.int64)
+    link_new = np.empty_like(link_old)
+    link_new[link_old] = np.arange(len(link_old), dtype=np.int64)
+
+    flow_degree = np.diff(batch.flow_ptr)[flow_old]
+    link_degree = np.diff(batch.link_ptr)[link_old]
+    flow_link = link_new[
+        batch.flow_link[_ranges(batch.flow_ptr[flow_old], flow_degree)]
+    ]
+    link_flow = flow_new[
+        batch.link_flow[_ranges(batch.link_ptr[link_old], link_degree)]
+    ]
+    return _batch(
+        [batch.flows[s] for s in order],
+        flow_degree,
+        flow_link,
+        link_degree,
+        link_flow,
+        flow_counts,
+        link_counts,
+        batch.caps[link_old],
+    )
 
 
 def waterfill_batch(batch: CompiledBatch, first: int = 0, last=None, out=None):
@@ -517,23 +754,14 @@ def solve_max_min_batch(
     if not pairs:
         return []
 
+    batch = compile_batch(pairs)
     order = list(range(len(pairs)))
     groups: Optional[List[Tuple[int, int]]] = None
     if sub_batches and sub_batches > 1 and len(pairs) > 1:
-        parts: List[CompiledRouting] = []
-        caps_vectors = []
-        for routing, capacities in pairs:
-            compiled = compile_routing(routing, capacities)
-            parts.append(compiled)
-            caps_vectors.append(capacity_vector(compiled, capacities))
-        estimates = _round_estimates(parts, caps_vectors)
-        order = sorted(order, key=lambda s: (estimates[s], s))
-        batch = _stack_parts(
-            [parts[s] for s in order], [caps_vectors[s] for s in order]
-        )
+        estimates = _round_estimates(batch).tolist()
+        order.sort(key=lambda s: (estimates[s], s))
+        batch = _take_scenarios(batch, order)
         groups = _sub_batch_ranges(batch.num_scenarios, sub_batches)
-    else:
-        batch = compile_batch(pairs)
 
     if jobs and jobs > 1 and batch.num_scenarios > 1:
         rates = _batch_rates_parallel(batch, jobs, chunksize, tasks=groups)
@@ -549,17 +777,12 @@ def solve_max_min_batch(
 
     full = _validate.validation_level() == "full"
     allocations: List[Optional[Allocation]] = [None] * len(pairs)
+    rates = rates.tolist()
+    bounds = batch.scn_flow_ptr.tolist()
     for position, scenario in enumerate(order):
-        compiled = batch.parts[position]
         routing, capacities = pairs[scenario]
-        lo = int(batch.scn_flow_ptr[position])
-        hi = int(batch.scn_flow_ptr[position + 1])
-        allocation = Allocation(
-            {
-                flow: float(rate)
-                for flow, rate in zip(compiled.flows, rates[lo:hi])
-            }
-        )
+        lo, hi = bounds[position], bounds[position + 1]
+        allocation = Allocation(dict(zip(batch.flows[position], rates[lo:hi])))
         if full:
             _validate.validate_allocation(
                 routing, capacities, allocation,

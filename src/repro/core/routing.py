@@ -87,6 +87,10 @@ class Routing:
         """The routed flows, in insertion order."""
         return list(self._paths)
 
+    def paths(self) -> List[Path]:
+        """The assigned paths, index-aligned with :meth:`flows`."""
+        return list(self._paths.values())
+
     def fingerprint(self) -> Tuple[Tuple[Flow, Path], ...]:
         """A canonical, hashable identity for this routing.
 

@@ -19,7 +19,9 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.chaos import random_instance
+from repro.core import batched
 from repro.core.batched import (
+    ARRAY_NAMES,
     compile_batch,
     solve_max_min_batch,
     waterfill_batch,
@@ -27,8 +29,14 @@ from repro.core.batched import (
 from repro.core.maxmin import max_min_fair
 from repro.core.routing import Routing
 from repro.core.solve import solve_max_min
-from repro.core.topology import ClosNetwork
-from repro.errors import ReproError
+from repro.core.topology import ClosNetwork, MacroSwitch
+from repro.core.vectorized import capacity_vector, compile_routing
+from repro.errors import (
+    CapacityValidationError,
+    ReproError,
+    UnboundedRateError,
+    UnknownLinkError,
+)
 from repro.routers.ecmp import ecmp_routing
 from repro.workloads.stochastic import uniform_random
 
@@ -121,6 +129,198 @@ def test_batched_empty_scenario_sandwich():
 def test_batched_all_empty():
     batched = solve_max_min_batch([(Routing({}), {}), (Routing({}), {})])
     assert [alloc.rates() for alloc in batched] == [{}, {}]
+
+
+# ----------------------------------------------------------------------
+# Batch compilation: arrays identical to stacked per-scenario compiles
+# ----------------------------------------------------------------------
+def _stacked_compiles(pairs):
+    """The nine batch arrays built the slow, obvious way: one
+    ``compile_routing`` per scenario, concatenated with offsets."""
+    flow_ptr, link_ptr, scn_flow_ptr, scn_link_ptr = [0], [0], [0], [0]
+    flow_link, link_flow, scn_of_flow, scn_of_link, caps = [], [], [], [], []
+    for s, (routing, capacities) in enumerate(pairs):
+        compiled = compile_routing(routing, capacities)
+        flows, links, nnz = scn_flow_ptr[-1], scn_link_ptr[-1], flow_ptr[-1]
+        flow_ptr.extend((compiled.flow_ptr[1:] + nnz).tolist())
+        link_ptr.extend((compiled.link_ptr[1:] + nnz).tolist())
+        flow_link.extend((compiled.flow_link + links).tolist())
+        link_flow.extend((compiled.link_flow + flows).tolist())
+        scn_of_flow.extend([s] * len(compiled.flows))
+        scn_of_link.extend([s] * len(compiled.links))
+        caps.extend(capacity_vector(compiled, capacities).tolist())
+        scn_flow_ptr.append(flows + len(compiled.flows))
+        scn_link_ptr.append(links + len(compiled.links))
+    ints = {
+        "flow_ptr": flow_ptr, "flow_link": flow_link,
+        "link_ptr": link_ptr, "link_flow": link_flow,
+        "scn_flow_ptr": scn_flow_ptr, "scn_link_ptr": scn_link_ptr,
+        "scn_of_flow": scn_of_flow, "scn_of_link": scn_of_link,
+    }
+    arrays = {name: np.asarray(v, dtype=np.int64) for name, v in ints.items()}
+    arrays["caps"] = np.asarray(caps, dtype=np.float64)
+    return arrays
+
+
+def _assert_same_arrays(got, want):
+    assert set(got) == set(ARRAY_NAMES) == set(want)
+    for name in ARRAY_NAMES:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name]), name
+
+
+def _macro_pairs(n=2, scenarios=3, flows=12):
+    """Macro-switch routings: every interior link is infinite."""
+    clos, macro = ClosNetwork(n), MacroSwitch(n)
+    caps = macro.graph.capacities()
+    return [
+        (Routing.for_macro_switch(macro, uniform_random(clos, flows, seed=s)),
+         caps)
+        for s in range(scenarios)
+    ]
+
+
+def _infinite_interior_pairs(n=3, scenarios=3, flows=15):
+    network = ClosNetwork(n, interior_capacity=float("inf"))
+    caps = network.graph.capacities()
+    pairs = []
+    for seed in range(scenarios):
+        workload = uniform_random(network, flows, seed=seed)
+        pairs.append((ecmp_routing(network, workload, seed=seed), caps))
+    return pairs
+
+
+def _mixed_pairs():
+    """Chaos pairs (duplicate parallel flows, Fraction/zero/huge
+    capacities), ECMP workloads, an empty routing between real ones,
+    and routings whose interior links are infinite."""
+    return (
+        _chaos_pairs(range(30))
+        + _workload_pairs()
+        + [(Routing({}), {})]
+        + _macro_pairs()
+        + _infinite_interior_pairs()
+    )
+
+
+def _chunk_spanning_pairs():
+    """More scenarios than one compile chunk, an empty one just before
+    the first chunk boundary."""
+    pairs = (_chaos_pairs(range(40)) * 3)[:batched.COMPILE_CHUNK + 7]
+    assert len(pairs) > batched.COMPILE_CHUNK
+    pairs[batched.COMPILE_CHUNK - 1] = (Routing({}), {})
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "make", [_mixed_pairs, _chunk_spanning_pairs, list],
+    ids=["mixed", "chunk-spanning", "empty"],
+)
+def test_compile_batch_arrays_match_stacked_compiles(make):
+    pairs = make()
+    batch = compile_batch(pairs)
+    _assert_same_arrays(batch.as_arrays(), _stacked_compiles(pairs))
+    assert batch.flows == [routing.flows() for routing, _ in pairs]
+
+
+def test_take_scenarios_equals_compiling_in_that_order():
+    pairs = _chaos_pairs(range(16)) + [(Routing({}), {})] + _macro_pairs()
+    backwards = list(range(len(pairs)))[::-1]
+    order = backwards[::2] + backwards[1::2]
+    taken = batched._take_scenarios(compile_batch(pairs), order)
+    _assert_same_arrays(
+        taken.as_arrays(), _stacked_compiles([pairs[s] for s in order])
+    )
+    assert taken.flows == [pairs[s][0].flows() for s in order]
+
+
+def test_round_estimates_count_distinct_fill_levels():
+    pairs = _chaos_pairs(range(20)) + [(Routing({}), {})] + _workload_pairs()
+    estimates = batched._round_estimates(compile_batch(pairs)).tolist()
+    for (routing, capacities), estimate in zip(pairs, estimates):
+        compiled = compile_routing(routing, capacities)
+        degree = np.diff(compiled.link_ptr)
+        levels = capacity_vector(compiled, capacities) / degree
+        assert estimate == np.unique(levels).size
+
+
+# ----------------------------------------------------------------------
+# Typed errors: the batch raises what compile_routing raises
+# ----------------------------------------------------------------------
+def _missing_link_pair():
+    routing, caps = _workload_pairs(scenarios=1)[0]
+    caps = dict(caps)
+    for link in routing.links_of(routing.flows()[0])[1:3]:
+        del caps[link]
+    return routing, caps
+
+
+def _negative_capacity_pair():
+    routing, caps = _workload_pairs(scenarios=1)[0]
+    caps = dict(caps)
+    caps[routing.links_of(routing.flows()[-1])[2]] = -1
+    return routing, caps
+
+
+def _overflowing_capacity_pair():
+    """A capacity too large for a float: compile_routing's float()
+    conversion raises OverflowError, not a ReproError."""
+    routing, caps = _workload_pairs(scenarios=1)[0]
+    caps = dict(caps)
+    caps[routing.links_of(routing.flows()[1])[1]] = 10 ** 400
+    return routing, caps
+
+
+def _unbounded_pair():
+    routing, caps = _macro_pairs(scenarios=1)[0]
+    return routing, {link: float("inf") for link in caps}
+
+
+def _compile_error(pair):
+    with pytest.raises(Exception) as info:
+        compile_routing(*pair)
+    return info.value
+
+
+@pytest.mark.parametrize(
+    "make, kind",
+    [
+        (_missing_link_pair, UnknownLinkError),
+        (_negative_capacity_pair, CapacityValidationError),
+        (_unbounded_pair, UnboundedRateError),
+        (_overflowing_capacity_pair, OverflowError),
+    ],
+)
+def test_batch_error_matches_compile_routing(make, kind):
+    bad = make()
+    expected = _compile_error(bad)
+    assert isinstance(expected, kind)
+    good = _workload_pairs(scenarios=3) + _chaos_pairs(range(8))
+    for pairs in ([bad], good + [bad], good[:2] + [bad] + good[2:]):
+        with pytest.raises(kind) as info:
+            solve_max_min_batch(pairs)
+        assert type(info.value) is type(expected)
+        assert str(info.value) == str(expected)
+
+
+def test_batch_error_first_bad_scenario_wins():
+    good = _workload_pairs(scenarios=2)
+    missing, negative = _missing_link_pair(), _negative_capacity_pair()
+    for first, second in ((missing, negative), (negative, missing)):
+        expected = _compile_error(first)
+        with pytest.raises(CapacityValidationError) as info:
+            solve_max_min_batch(good + [first] + good + [second])
+        assert type(info.value) is type(expected)
+        assert str(info.value) == str(expected)
+
+
+def test_batch_error_in_later_chunk():
+    bad = _unbounded_pair()
+    good = _workload_pairs(scenarios=1) * (batched.COMPILE_CHUNK + 3)
+    expected = _compile_error(bad)
+    with pytest.raises(UnboundedRateError) as info:
+        solve_max_min_batch(good + [bad], sub_batches=4)
+    assert str(info.value) == str(expected)
 
 
 # ----------------------------------------------------------------------
