@@ -610,10 +610,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=["auto", "object", "array"],
         default="auto",
-        help="simulator event-loop implementation (churn): 'array' = "
-        "NumPy slot-store fast core, 'object' = per-job dict loop, "
+        help="selects the micro-batched loop (churn 'batched' config): "
+        "'array' = NumPy slot-store loop, 'object' = per-job dict loop, "
         "'auto' = array for large workloads (identical results either "
-        "way; REPRO_SHADOW cross-checks sampled array runs)",
+        "way; REPRO_SHADOW cross-checks sampled array runs); the "
+        "per-event configs have one loop",
     )
     run.add_argument(
         "--backend",

@@ -60,7 +60,6 @@ from repro.core.flows import Flow
 from repro.core.routing import Link, Routing
 from repro.core.vectorized import (
     _np,
-    _require_numpy,
     _row_hits,
     compile_routing,
 )
@@ -361,7 +360,7 @@ def compile_batch(
     :class:`~repro.errors.UnboundedRateError`) with the same message;
     the first such scenario in batch order wins.
     """
-    np = _require_numpy()
+    np = _np
     pairs = list(instances)
     table = _PathTable()
     flows: List[List[Flow]] = []
@@ -474,7 +473,7 @@ def waterfill_batch(batch: CompiledBatch, first: int = 0, last=None, out=None):
     :func:`~repro.core.vectorized.waterfill` kernel exactly, so the
     rates are byte-identical to solving each scenario alone.
     """
-    np = _require_numpy()
+    np = _np
     if last is None:
         last = batch.num_scenarios
     fa = int(batch.scn_flow_ptr[first])
@@ -598,7 +597,7 @@ def _check_batch(batch: CompiledBatch, first: int, last: int, rates) -> None:
 
     if _validate.validation_level() == "off":
         return
-    np = _require_numpy()
+    np = _np
     fa = int(batch.scn_flow_ptr[first])
     fb = int(batch.scn_flow_ptr[last])
     la = int(batch.scn_link_ptr[first])
@@ -675,7 +674,7 @@ def _batch_rates_parallel(
     overrides the default even chunking (the ``sub_batches=`` path
     passes its round-sorted ranges directly).
     """
-    np = _require_numpy()
+    np = _np
     from repro import parallel
 
     S = batch.num_scenarios
@@ -732,9 +731,6 @@ def solve_max_min_batch(
       :func:`repro.core.solve.solve_max_min` — callers can route every
       multi-instance workload through this one function and pick the
       kernel per call site.
-
-    Raises :class:`~repro.errors.BackendUnavailableError` without NumPy
-    (``backend="batched"``, float mode), like the vectorized backend.
     """
     pairs = [(routing, capacities) for routing, capacities in instances]
     if backend != "batched":
@@ -766,7 +762,7 @@ def solve_max_min_batch(
     if jobs and jobs > 1 and batch.num_scenarios > 1:
         rates = _batch_rates_parallel(batch, jobs, chunksize, tasks=groups)
     elif groups is not None:
-        np = _require_numpy()
+        np = _np
         rates = np.zeros(batch.num_flows, dtype=np.float64)
         for first, last in groups:
             waterfill_batch(batch, first=first, last=last, out=rates)

@@ -9,7 +9,7 @@
   instances.
 - ``"vectorized"`` — :func:`repro.core.vectorized.max_min_fair_vectorized`;
   float, NumPy array kernel, fastest for dense instances (thousands of
-  flows over few links).  Requires NumPy.
+  flows over few links).
 - ``"quotient"`` — :func:`repro.core.quotient.quotient_max_min`; exact
   ``Fraction`` rates via symmetry reduction, the only exact option that
   scales to the n ≥ 64 adversarial constructions.
@@ -160,20 +160,27 @@ def _solve_backend(
     )
 
 
-def _shadow_interval() -> int:
-    """Shadow every N-th auto solve (0 = shadow checking disabled)."""
-    raw = os.environ.get(SHADOW_ENV, "").strip()
-    if not raw:
-        return 0
-    try:
-        fraction = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"{SHADOW_ENV} must be a fraction in [0, 1], got {raw!r}"
-        ) from None
+def _shadow_due(ordinal: int, fraction: Optional[float] = None) -> bool:
+    """Whether ordinal ``ordinal`` of a sampled stream is shadow-checked.
+
+    The one sampling rule for ``auto`` solves, streaming solves and
+    array simulator runs: every N-th ordinal is checked, N = 1 /
+    ``fraction`` rounded.  ``fraction=None`` reads ``REPRO_SHADOW``;
+    unset, empty or ≤ 0 disables checking.
+    """
+    if fraction is None:
+        raw = os.environ.get(SHADOW_ENV, "").strip()
+        if not raw:
+            return False
+        try:
+            fraction = float(raw)
+        except ValueError:
+            raise ValueError(
+                f"{SHADOW_ENV} must be a fraction in [0, 1], got {raw!r}"
+            ) from None
     if fraction <= 0:
-        return 0
-    return max(1, round(1.0 / min(fraction, 1.0)))
+        return False
+    return ordinal % max(1, round(1.0 / min(fraction, 1.0))) == 0
 
 
 def _quarantine(
@@ -226,9 +233,9 @@ def _solve_auto(
                 backend=backend, next=chain[position + 1],
             )
         except (BackendUnavailableError, ArithmeticError, AssertionError) as error:
-            # Unavailable (no NumPy), numerical failure (overflow /
-            # division), or a violated water-filling invariant — all
-            # recoverable by a stricter backend.
+            # Unavailable, numerical failure (overflow / division), or
+            # a violated water-filling invariant — all recoverable by a
+            # stricter backend.
             counter(f"solver.fallback.{backend}").inc()
             if terminal:
                 raise
@@ -238,8 +245,7 @@ def _solve_auto(
                 next=chain[position + 1],
             )
 
-    interval = _shadow_interval()
-    if interval and chosen != "reference" and sequence % interval == 0:
+    if _shadow_due(sequence) and chosen != "reference":
         allocation = _shadow_check(
             routing, capacities, exact, chosen, allocation
         )

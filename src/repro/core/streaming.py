@@ -57,19 +57,16 @@ from collections import deque
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
-try:  # pragma: no cover - exercised implicitly on import
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+import numpy as _np
 
 from repro.errors import UnboundedRateError, UnknownLinkError
 from repro.core.allocation import Allocation, Rate
 from repro.core.flows import Flow
 from repro.core.routing import Link, Routing
+from repro.core.solve import _shadow_due
 from repro.core.vectorized import (
     _BAND,
     _INF,
-    _require_numpy,
     _row_hits,
     _run_rounds,
 )
@@ -335,7 +332,7 @@ class StreamingMaxMin:
 
     # -------------------------- float mode ----------------------------
     def _solve_float(self, adds, removes) -> Dict[Flow, float]:
-        np = _require_numpy()
+        np = _np
         with trace_span(
             "maxmin.water_fill_streaming",
             adds=len(adds),
@@ -1072,19 +1069,9 @@ class StreamingMaxMin:
             rnd += 1
 
     # ---------------------- cross-checking ----------------------------
-    def _shadow_interval(self) -> int:
-        if self._shadow is not None:
-            fraction = float(self._shadow)
-            if fraction <= 0:
-                return 0
-            return max(1, round(1.0 / min(fraction, 1.0)))
-        from repro.core.solve import _shadow_interval
-
-        return _shadow_interval()
-
     def _maybe_shadow(self, rates: Dict[Flow, Rate]) -> Dict[Flow, Rate]:
-        interval = self._shadow_interval()
-        if not interval or self._solves % interval:
+        fraction = None if self._shadow is None else float(self._shadow)
+        if not _shadow_due(self._solves, fraction):
             return rates
         return self._shadow_check(rates)
 

@@ -74,8 +74,10 @@ def churn_comparison(
     ``batched`` trades bounded rate staleness (≤ ``batch_window``) for
     throughput, and with ``pods > 1`` additionally shards the (then
     pod-local) workload into independent blocks.  ``engine`` selects
-    the simulator event loop (see :func:`repro.sim.flowsim.simulate`)
-    and ``jobs`` the worker-process count for the sharded config.
+    the micro-batched loop of the ``batched`` config (see
+    :func:`repro.sim.stream.simulate_stream`; the per-event configs have
+    one loop) and ``jobs`` the worker-process count for the sharded
+    config.
     """
     network = ClosNetwork(n)
     workload = churn_workload(

@@ -1,36 +1,37 @@
-"""Array-state simulation engines (the ``engine="array"`` fast core).
+"""Array-state micro-batched simulation loop (``engine="array"``).
 
-The object engines in :mod:`repro.sim.flowsim` and
-:mod:`repro.sim.stream` keep per-job Python dicts plus a ``heapq``
-completion heap; under heavy churn the end-to-end event rate stalls on
-that bookkeeping — not on solving.  This module re-implements both
-event loops over a contiguous slot store (remaining sizes, rates, job
-ids, and the active mask as NumPy arrays):
+The object loop in :mod:`repro.sim.stream` keeps per-job Python dicts
+plus a completion event queue; under heavy churn the end-to-end event
+rate stalls on that bookkeeping — not on solving.  This module
+re-implements the micro-batched loop over a contiguous slot store
+(remaining sizes, rates, job ids, and the active mask as NumPy arrays):
 
 - time advancement serves every active job with one masked vector
   update instead of a Python loop;
-- the next completion comes from a masked ``remaining / rate`` minimum
-  (per-event engine) or a single ``lexsort`` per policy consult (stream
-  engine: rates only change at consult boundaries, so the completion
-  *order* is frozen between them and each pop is an O(1) pointer walk
-  instead of an O(log F) heap operation);
+- rates only change at consult boundaries, so the completion *order* is
+  frozen between them: one ``lexsort`` per policy consult, and each pop
+  is an O(1) pointer walk instead of an O(log F) heap operation;
 - retirement frees slots lazily and sweeps them with a batched
   compaction only when more than half the store is dead, like
   ``core/streaming``'s O(nnz) dead-slot sweep.
 
-Both engines are event-for-event mirrors of their object counterparts:
+The loop is an event-for-event mirror of the object loop:
 ``completed`` (order *and* float values), ``unfinished``, and
 ``end_time`` are byte-identical, including ``_TIME_EPS`` tie-breaking,
-same-instant burst admission, failure batching, and admission-order
-retirement.  Only ``work_done`` may drift within :data:`WORK_TOL`,
-because vectorized reductions sum partial service in a different order
-than the object engines' per-job accumulation (see
-:func:`results_equivalent`).
+failure batching, and admission-order retirement.  Only ``work_done``
+may drift within :data:`WORK_TOL`, because vectorized reductions sum
+partial service in a different order than the object loop's per-job
+accumulation (see :func:`results_equivalent`).  The object loop stays
+as the independent reference.
+
+The per-event loop (:func:`repro.sim.flowsim.simulate`) has one
+implementation: an array mirror of it was slower at every measured size
+(``docs/PERFORMANCE.md``).
 
 :func:`resolve_engine` implements the ``{"auto", "object", "array"}``
-switch used by :func:`repro.sim.flowsim.simulate` and friends;
+switch used by :func:`repro.sim.stream.simulate_stream`;
 :func:`with_shadow` implements the sampled ``REPRO_SHADOW``
-cross-check that re-runs the object engine on a pre-run deep copy of
+cross-check that re-runs the object loop on a pre-run deep copy of
 the policy and quarantines divergences with reason ``sim-mismatch``.
 """
 
@@ -41,40 +42,41 @@ import math
 from collections.abc import Mapping
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.errors import BackendUnavailableError
+import numpy as np
+
+from repro.core.solve import _ProcessSeq, _shadow_due
 from repro.obs import counter, histogram
-from repro.sim.events import EventQueue, load_failure_schedule
 from repro.sim.flowsim import (
     _TIME_EPS,
+    ENGINES,
     CompletedJob,
     SimulationError,
     SimulationResult,
+    _completion,
+    _require_failure_hook,
 )
 from repro.sim.jobs import FlowJob
 
-#: Engine names accepted by ``simulate(..., engine=)`` and the CLI.
-ENGINES = ("auto", "object", "array")
-
-#: ``engine="auto"`` picks the array core at or above this many jobs;
-#: below it the object engines win on constant factors (array setup and
-#: rate scatter cost more than a handful of dict updates).
-AUTO_THRESHOLD = 64
+#: ``engine="auto"`` picks the array loop at or above this many jobs:
+#: the measured object/array crossover of the micro-batched loop
+#: (230–290 jobs; table in ``docs/PERFORMANCE.md``).  Below it the
+#: object loop wins on constant factors (array setup and rate scatter
+#: cost more than a handful of dict updates).
+AUTO_THRESHOLD = 256
 
 #: Relative tolerance on ``work_done`` between engines: vectorized
 #: reductions sum partial service in a different order than the object
-#: engines' per-job accumulation, so the totals agree only to float
+#: loop's per-job accumulation, so the totals agree only to float
 #: round-off.  ``completed`` / ``unfinished`` / ``end_time`` are exact.
 WORK_TOL = 1e-9
 
 #: Observability instruments (no-ops unless ``repro.obs`` is enabled).
-#: Counter names are shared with the object engines so per-engine runs
+#: Counter names are shared with the object loops so per-engine runs
 #: report into the same telemetry streams.
 _EVENTS = counter("sim.events")
 _COMPLETIONS = counter("sim.completions")
 _FAILURES = counter("sim.failures_applied")
 _POLICY_CALLS = counter("sim.policy_consultations")
-_RESOLVE_SKIPS = counter("sim.resolve_skipped")
-_ACTIVE = histogram("sim.active_jobs")
 _BATCH = histogram("sim.batch_size")
 _SHADOW_CHECKS = counter("sim.shadow.checks")
 _SHADOW_MISMATCHES = counter("sim.shadow.mismatches")
@@ -88,38 +90,17 @@ __all__ = [
 ]
 
 
-def _numpy():
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - image bakes numpy in
-        return None
-    return numpy
-
-
 def resolve_engine(engine: str, num_jobs: int) -> str:
-    """Resolve an ``engine=`` argument to ``"object"`` or ``"array"``.
-
-    ``"auto"`` picks the array core when NumPy is importable and the
-    workload has at least :data:`AUTO_THRESHOLD` jobs; ``"array"``
-    raises :class:`~repro.errors.BackendUnavailableError` without NumPy
-    rather than silently falling back.
-    """
+    """Resolve an ``engine=`` argument to ``"object"`` or ``"array"``:
+    ``"auto"`` picks the array loop for workloads of at least
+    :data:`AUTO_THRESHOLD` jobs."""
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {ENGINES}"
         )
-    if engine == "object":
-        return "object"
-    np = _numpy()
-    if engine == "array":
-        if np is None:
-            raise BackendUnavailableError(
-                "engine 'array' requires numpy; use engine='object'"
-            )
-        return "array"
-    if np is not None and num_jobs >= AUTO_THRESHOLD:
-        return "array"
-    return "object"
+    if engine == "auto":
+        return "array" if num_jobs >= AUTO_THRESHOLD else "object"
+    return engine
 
 
 def results_equivalent(
@@ -148,26 +129,24 @@ class _JobStore:
     Slots are handed out in admission order and compaction preserves
     relative order, so **ascending slot index is admission order** —
     the invariant behind byte-identical retirement ordering (the object
-    engines retire in remaining-dict insertion order, which is the same
+    loop retires in remaining-dict insertion order, which is the same
     thing).
     """
 
-    __slots__ = ("np", "remaining", "rate", "jid", "active", "high", "slot_of")
+    __slots__ = ("remaining", "rate", "jid", "active", "high", "slot_of")
 
-    def __init__(self, np_mod, capacity_hint: int) -> None:
-        self.np = np_mod
+    def __init__(self, capacity_hint: int) -> None:
         cap = max(16, int(capacity_hint))
-        self.remaining = np_mod.zeros(cap)
-        self.rate = np_mod.zeros(cap)
-        self.jid = np_mod.zeros(cap, dtype=np_mod.int64)
-        self.active = np_mod.zeros(cap, dtype=bool)
+        self.remaining = np.zeros(cap)
+        self.rate = np.zeros(cap)
+        self.jid = np.zeros(cap, dtype=np.int64)
+        self.active = np.zeros(cap, dtype=bool)
         #: One past the last slot ever used (only compaction shrinks it).
         self.high = 0
         #: job_id -> slot for live jobs, in admission order.
         self.slot_of: Dict[int, int] = {}
 
     def _grow(self) -> None:
-        np = self.np
         cap = 2 * len(self.remaining)
         for name in ("remaining", "rate", "jid", "active"):
             old = getattr(self, name)
@@ -201,7 +180,6 @@ class _JobStore:
         live = len(self.slot_of)
         if self.high < 64 or 2 * live >= self.high:
             return
-        np = self.np
         keep = np.nonzero(self.active[: self.high])[0]
         n = int(keep.size)
         # Fancy indexing copies before assigning, so in-place shifts
@@ -220,7 +198,7 @@ class _JobStore:
 class _RemainingView(Mapping):
     """Read-only ``{job_id: remaining}`` over the live slots, iterated
     in admission order — handed to policies in place of the object
-    engines' remaining dict (e.g. ``MatchingScheduler``'s SRPT key)."""
+    loop's remaining dict (e.g. ``MatchingScheduler``'s SRPT key)."""
 
     __slots__ = ("_store",)
 
@@ -238,195 +216,6 @@ class _RemainingView(Mapping):
 
     def __contains__(self, jid: object) -> bool:
         return jid in self._store.slot_of
-
-
-# ----------------------------------------------------------------------
-# Per-event engine (mirror of flowsim._simulate)
-# ----------------------------------------------------------------------
-def _simulate_array(
-    jobs: Sequence[FlowJob],
-    policy,
-    max_time: Optional[float],
-    max_events: int,
-    failure_schedule,
-) -> SimulationResult:
-    """Array-state mirror of :func:`repro.sim.flowsim._simulate`."""
-    np = _numpy()
-    queue = EventQueue()
-    for job in jobs:
-        queue.push(job.arrival, "arrival", job)
-    if failure_schedule is not None:
-        if not hasattr(policy, "set_link_factors"):
-            raise SimulationError(
-                f"{type(policy).__name__} has no set_link_factors hook and "
-                "cannot replay a failure schedule"
-            )
-        load_failure_schedule(queue, failure_schedule)
-    link_factors: Dict = {}
-
-    store = _JobStore(np, len(jobs))
-    remaining_view = _RemainingView(store)
-    active: Dict[int, FlowJob] = {}
-    completed: List[CompletedJob] = []
-    work_done = 0.0
-    now = 0.0
-    events = 0
-
-    def served_slots():
-        hi = store.high
-        return np.nonzero(store.active[:hi] & (store.rate[:hi] > 0.0))[0]
-
-    def drain_until(target: float) -> float:
-        """Advance the clock to ``target`` at the standing rates,
-        stopping early at the soonest completion (vector masked min —
-        the same value the object engine's running min produces)."""
-        nonlocal now, work_done
-        idx = served_slots()
-        soonest: Optional[float] = None
-        if idx.size:
-            soonest = float(
-                (now + store.remaining[idx] / store.rate[idx]).min()
-            )
-        stop = target if soonest is None else min(target, soonest)
-        dt = stop - now
-        if dt < 0:
-            raise SimulationError(f"time went backwards: {now} -> {stop}")
-        if idx.size:
-            served = store.rate[idx] * dt
-            store.remaining[idx] = np.maximum(
-                0.0, store.remaining[idx] - served
-            )
-            work_done += float(served.sum())
-        now = stop
-        return stop
-
-    def complete_finished() -> bool:
-        """Retire drained jobs in admission (= ascending slot) order;
-        returns whether any retirement was solver-visible."""
-        hi = store.high
-        fin = np.nonzero(
-            store.active[:hi] & (store.remaining[:hi] <= _TIME_EPS)
-        )[0]
-        _COMPLETIONS.inc(int(fin.size))
-        visible = bool((store.rate[fin] > 0.0).any())
-        for slot in fin.tolist():
-            job = active.pop(int(store.jid[slot]))
-            store.retire(slot)
-            policy.forget(job.job_id)
-            duration = now - job.arrival
-            completed.append(
-                CompletedJob(
-                    job=job,
-                    completion_time=now,
-                    duration=duration,
-                    slowdown=duration / job.size if job.size > 0 else 1.0,
-                )
-            )
-        return visible
-
-    def scatter(rates: Dict[int, float]) -> None:
-        store.rate[: store.high] = 0.0
-        slot_of = store.slot_of
-        rate = store.rate
-        for jid, r in rates.items():
-            slot = slot_of.get(jid)
-            if slot is not None:
-                rate[slot] = r
-
-    pending_arrivals = len(jobs)
-    pure = bool(getattr(policy, "pure_rates", False))
-    needs_resolve = True
-    while queue or active:
-        if not active and pending_arrivals == 0:
-            break  # only failure events remain; nothing left to serve
-        events += 1
-        _EVENTS.inc()
-        _ACTIVE.observe(len(active))
-        if events > max_events:
-            raise SimulationError(f"exceeded {max_events} events")
-        if max_time is not None and now >= max_time:
-            break
-
-        hook = getattr(policy, "next_wakeup", None)
-        if pure and hook is None and not needs_resolve:
-            _RESOLVE_SKIPS.inc()
-        else:
-            _POLICY_CALLS.inc()
-            store.compact()
-            scatter(policy.rates(active, remaining_view, now))
-            needs_resolve = False
-        wakeup: Optional[float] = None
-        if hook is not None and active:
-            candidate = hook(now)
-            if candidate is not None and candidate > now + _TIME_EPS:
-                wakeup = candidate
-
-        next_event = queue.peek()
-        if next_event is None:
-            if wakeup is None and not served_slots().size:
-                raise SimulationError(
-                    f"{len(active)} jobs active but none served; "
-                    "the policy starved the residual workload"
-                )
-            horizon = math.inf if max_time is None else max_time
-            if wakeup is not None:
-                horizon = min(horizon, wakeup)
-            drain_until(horizon)
-            if complete_finished():
-                needs_resolve = True
-            continue
-
-        target = next_event.time
-        if wakeup is not None:
-            target = min(target, wakeup)
-        reached = drain_until(target)
-        if complete_finished():
-            needs_resolve = True
-            continue  # re-consult the policy before touching the arrival
-        if reached >= next_event.time - _TIME_EPS:
-            event = queue.pop()
-            if event.kind == "failure":
-                link_factors[event.payload.link] = event.payload.factor
-                _FAILURES.inc()
-                while queue:
-                    upcoming = queue.peek()
-                    if (
-                        upcoming.kind != "failure"
-                        or upcoming.time > event.time + _TIME_EPS
-                    ):
-                        break
-                    failure = queue.pop().payload
-                    link_factors[failure.link] = failure.factor
-                    _FAILURES.inc()
-                policy.set_link_factors(dict(link_factors))
-                needs_resolve = True
-                continue
-            job = event.payload
-            active[job.job_id] = job
-            store.admit(job)
-            pending_arrivals -= 1
-            needs_resolve = True
-            burst = 1
-            while pure and queue:
-                upcoming = queue.peek()
-                if (
-                    upcoming.kind != "arrival"
-                    or upcoming.time > event.time + _TIME_EPS
-                ):
-                    break
-                job = queue.pop().payload
-                active[job.job_id] = job
-                store.admit(job)
-                pending_arrivals -= 1
-                burst += 1
-            _BATCH.observe(burst)
-
-    return SimulationResult(
-        completed=completed,
-        unfinished=list(active.values()),
-        work_done=work_done,
-        end_time=now,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -451,17 +240,12 @@ def _simulate_stream_array(
     order as the heap's ``(finish, jid, epoch)`` entries, all of which
     share the latest epoch.
     """
-    np = _numpy()
     for job in jobs:
         if job.arrival < 0:
             raise ValueError(f"negative event time: {job.arrival}")
     fail_events: List = []
     if failure_schedule is not None:
-        if not hasattr(policy, "set_link_factors"):
-            raise SimulationError(
-                f"{type(policy).__name__} has no set_link_factors hook and "
-                "cannot replay a failure schedule"
-            )
+        _require_failure_hook(policy)
         fail_events = sorted(failure_schedule.events(), key=lambda e: e.time)
         for ev in fail_events:
             if ev.time < 0:
@@ -472,7 +256,7 @@ def _simulate_stream_array(
     fail_times = [ev.time for ev in fail_events]
     n_fail = len(fail_events)
 
-    store = _JobStore(np, n_jobs)
+    store = _JobStore(n_jobs)
     remaining_view = _RemainingView(store)
     active: Dict[int, FlowJob] = {}
     completed: List[CompletedJob] = []
@@ -516,15 +300,7 @@ def _simulate_stream_array(
         store.retire(slot)
         work_done += served
         policy.forget(job.job_id)
-        duration = at - job.arrival
-        completed.append(
-            CompletedJob(
-                job=job,
-                completion_time=at,
-                duration=duration,
-                slowdown=duration / job.size if job.size > 0 else 1.0,
-            )
-        )
+        completed.append(_completion(job, at))
         _COMPLETIONS.inc()
 
     def retire_jobless(job: FlowJob, at: float) -> None:
@@ -532,15 +308,7 @@ def _simulate_stream_array(
         ever occupying a slot — matching the object loop's retire."""
         active.pop(job.job_id)
         policy.forget(job.job_id)
-        duration = at - job.arrival
-        completed.append(
-            CompletedJob(
-                job=job,
-                completion_time=at,
-                duration=duration,
-                slowdown=duration / job.size if job.size > 0 else 1.0,
-            )
-        )
+        completed.append(_completion(job, at))
         _COMPLETIONS.inc()
 
     def boundary_retire(at: float) -> None:
@@ -690,15 +458,6 @@ def _simulate_stream_array(
 # ----------------------------------------------------------------------
 # REPRO_SHADOW cross-check
 # ----------------------------------------------------------------------
-def _shadow_due() -> bool:
-    from repro.core.solve import _shadow_interval
-
-    interval = _shadow_interval()
-    if not interval:
-        return False
-    return next(_SIM_SEQ) % interval == 0
-
-
 def _divergence(got: SimulationResult, want: SimulationResult) -> List[str]:
     """Human-readable defect lines for a quarantine bundle."""
     details: List[str] = []
@@ -764,7 +523,7 @@ def with_shadow(array_run, object_run, policy, context: str):
     guarantee).
     """
     reference_policy = None
-    if object_run is not None and _shadow_due():
+    if _shadow_due(next(_SIM_SEQ)):
         try:
             reference_policy = copy.deepcopy(policy)
         except Exception:
@@ -781,13 +540,7 @@ def with_shadow(array_run, object_run, policy, context: str):
     return expected
 
 
-def _make_sim_seq():
-    from repro.core.solve import _ProcessSeq
-
-    return _ProcessSeq()
-
-
-#: Monotone per-process sequence of array-engine runs, driving shadow
+#: Monotone per-process sequence of array-loop runs, driving shadow
 #: sampling (pid-salted like the solver's, so forked shard workers
 #: sample different ordinals).
-_SIM_SEQ = _make_sim_seq()
+_SIM_SEQ = _ProcessSeq()

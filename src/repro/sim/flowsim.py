@@ -73,6 +73,52 @@ class SimulationError(RuntimeError):
     """Raised when the run cannot make progress (e.g. starved forever)."""
 
 
+#: Engine names accepted by ``simulate(..., engine=)``,
+#: ``simulate_stream`` and the CLI.
+ENGINES = ("auto", "object", "array")
+
+
+def _require_failure_hook(policy) -> None:
+    """Reject a failure schedule for a policy that cannot replay it."""
+    if not hasattr(policy, "set_link_factors"):
+        raise SimulationError(
+            f"{type(policy).__name__} has no set_link_factors hook and "
+            "cannot replay a failure schedule"
+        )
+
+
+def _completion(job: FlowJob, at: float) -> CompletedJob:
+    """The record of ``job`` finishing at time ``at``."""
+    duration = at - job.arrival
+    return CompletedJob(
+        job=job,
+        completion_time=at,
+        duration=duration,
+        slowdown=duration / job.size if job.size > 0 else 1.0,
+    )
+
+
+def _apply_failure_burst(
+    queue: EventQueue, event, link_factors: Dict, policy
+) -> None:
+    """Apply failure ``event`` and every failure queued at the same
+    instant in one go, then hand the accumulated link factors to the
+    policy once."""
+    link_factors[event.payload.link] = event.payload.factor
+    _FAILURES.inc()
+    while queue:
+        upcoming = queue.peek()
+        if (
+            upcoming.kind != "failure"
+            or upcoming.time > event.time + _TIME_EPS
+        ):
+            break
+        failure = queue.pop().payload
+        link_factors[failure.link] = failure.factor
+        _FAILURES.inc()
+    policy.set_link_factors(dict(link_factors))
+
+
 def simulate(
     jobs: Sequence[FlowJob],
     policy,
@@ -98,15 +144,13 @@ def simulate(
     :class:`SimulationError` rather than silently simulating a healthy
     fabric.
 
-    ``engine`` selects the event-loop implementation: ``"object"`` is
-    the per-job dict loop below, ``"array"`` the NumPy slot store in
-    :mod:`repro.sim.arraysim` (identical ``completed`` / ``unfinished``
-    / ``end_time``; ``work_done`` within float round-off), ``"auto"``
-    picks the array core for workloads of at least
-    :data:`~repro.sim.arraysim.AUTO_THRESHOLD` jobs when NumPy is
-    available.  Setting ``REPRO_SHADOW`` cross-checks sampled array
-    runs against the object engine and quarantines divergences with
-    reason ``sim-mismatch``.
+    ``engine`` is validated against :data:`ENGINES` (an unknown name
+    raises ``ValueError``) and otherwise ignored: every valid name runs
+    the one per-event loop below.  The keyword remains because callers
+    pass one engine name to both simulators:
+    :func:`repro.sim.stream.simulate_stream` forwards its ``engine``
+    here at ``batch_window=0``, and for positive windows the name
+    selects between its two micro-batched loops.
 
     >>> from repro.core.topology import ClosNetwork
     >>> from repro.sim.policies import MaxMinCongestionControl
@@ -117,26 +161,15 @@ def simulate(
     >>> result.completed[0].duration  # size 2 at rate 1
     2.0
     """
-    from repro.sim import arraysim
-
-    chosen = arraysim.resolve_engine(engine, len(jobs))
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}; expected one of {ENGINES}"
+        )
     _RUNS.inc()
-    with trace_span("sim.simulate", jobs=len(jobs), engine=chosen) as span:
-        if chosen == "array":
-            result = arraysim.with_shadow(
-                lambda: arraysim._simulate_array(
-                    jobs, policy, max_time, max_events, failure_schedule
-                ),
-                lambda ref: _simulate(
-                    jobs, ref, max_time, max_events, failure_schedule
-                ),
-                policy,
-                context="sim.simulate",
-            )
-        else:
-            result = _simulate(
-                jobs, policy, max_time, max_events, failure_schedule
-            )
+    with trace_span("sim.simulate", jobs=len(jobs)) as span:
+        result = _simulate(
+            jobs, policy, max_time, max_events, failure_schedule
+        )
         span.set(
             completed=len(result.completed),
             unfinished=len(result.unfinished),
@@ -157,11 +190,7 @@ def _simulate(
     for job in jobs:
         queue.push(job.arrival, "arrival", job)
     if failure_schedule is not None:
-        if not hasattr(policy, "set_link_factors"):
-            raise SimulationError(
-                f"{type(policy).__name__} has no set_link_factors hook and "
-                "cannot replay a failure schedule"
-            )
+        _require_failure_hook(policy)
         load_failure_schedule(queue, failure_schedule)
     #: link -> retained-capacity factor currently in force
     link_factors: Dict = {}
@@ -218,15 +247,7 @@ def _simulate(
             job = active.pop(jid)
             del remaining[jid]
             policy.forget(jid)
-            duration = now - job.arrival
-            completed.append(
-                CompletedJob(
-                    job=job,
-                    completion_time=now,
-                    duration=duration,
-                    slowdown=duration / job.size if job.size > 0 else 1.0,
-                )
-            )
+            completed.append(_completion(job, now))
         return visible
 
     pending_arrivals = len(jobs)
@@ -292,21 +313,8 @@ def _simulate(
         if reached >= next_event.time - _TIME_EPS:
             event = queue.pop()
             if event.kind == "failure":
-                # Apply every failure landing at this instant in one go,
-                # then re-consult the policy on the degraded fabric.
-                link_factors[event.payload.link] = event.payload.factor
-                _FAILURES.inc()
-                while queue:
-                    upcoming = queue.peek()
-                    if (
-                        upcoming.kind != "failure"
-                        or upcoming.time > event.time + _TIME_EPS
-                    ):
-                        break
-                    failure = queue.pop().payload
-                    link_factors[failure.link] = failure.factor
-                    _FAILURES.inc()
-                policy.set_link_factors(dict(link_factors))
+                # Re-consult the policy on the degraded fabric.
+                _apply_failure_burst(queue, event, link_factors, policy)
                 needs_resolve = True
                 continue
             # Admit the arrival — and, for pure-rates policies, every

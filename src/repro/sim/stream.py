@@ -40,6 +40,9 @@ from repro.sim.flowsim import (
     CompletedJob,
     SimulationError,
     SimulationResult,
+    _apply_failure_burst,
+    _completion,
+    _require_failure_hook,
     simulate,
 )
 from repro.sim.jobs import FlowJob
@@ -48,7 +51,6 @@ from repro.sim.jobs import FlowJob
 _RUNS = counter("sim.stream.runs")
 _EVENTS = counter("sim.events")
 _COMPLETIONS = counter("sim.completions")
-_FAILURES = counter("sim.failures_applied")
 _POLICY_CALLS = counter("sim.policy_consultations")
 _BATCH = histogram("sim.batch_size")
 
@@ -82,11 +84,14 @@ def simulate_stream(
     The batch size (solver-visible changes absorbed per re-solve) is
     observed by the ``sim.batch_size`` histogram.
 
-    ``engine`` selects the event-loop implementation exactly as in
-    :func:`~repro.sim.flowsim.simulate` — ``"array"`` runs the NumPy
-    slot-store loop in :mod:`repro.sim.arraysim`, ``"auto"`` picks it
-    for large workloads, and ``REPRO_SHADOW`` cross-checks sampled
-    array runs against this object loop.
+    ``engine`` selects the micro-batched loop: ``"object"`` is the
+    per-job dict loop below (the reference), ``"array"`` the NumPy
+    slot-store loop in :mod:`repro.sim.arraysim`, and ``"auto"`` picks
+    the array loop for workloads of at least
+    :data:`~repro.sim.arraysim.AUTO_THRESHOLD` jobs.  ``REPRO_SHADOW``
+    cross-checks sampled array runs against the object loop.  With
+    ``batch_window=0`` the name is only validated: there is a single
+    per-event loop.
     """
     if batch_window <= 0.0:
         return simulate(
@@ -145,11 +150,7 @@ def _simulate_stream(
     for job in jobs:
         queue.push(job.arrival, "arrival", job)
     if failure_schedule is not None:
-        if not hasattr(policy, "set_link_factors"):
-            raise SimulationError(
-                f"{type(policy).__name__} has no set_link_factors hook and "
-                "cannot replay a failure schedule"
-            )
+        _require_failure_hook(policy)
         load_failure_schedule(queue, failure_schedule)
 
     active: Dict[int, FlowJob] = {}
@@ -196,15 +197,7 @@ def _simulate_stream(
         remaining.pop(jid, None)
         work_done += served
         policy.forget(jid)
-        duration = at - job.arrival
-        completed.append(
-            CompletedJob(
-                job=job,
-                completion_time=at,
-                duration=duration,
-                slowdown=duration / job.size if job.size > 0 else 1.0,
-            )
-        )
+        completed.append(_completion(job, at))
         _COMPLETIONS.inc()
 
     def consult(at: float) -> None:
@@ -295,19 +288,7 @@ def _simulate_stream(
         if next_event is not None and next_event.time <= now + _TIME_EPS:
             event = queue.pop()
             if event.kind == "failure":
-                link_factors[event.payload.link] = event.payload.factor
-                _FAILURES.inc()
-                while queue:
-                    upcoming = queue.peek()
-                    if (
-                        upcoming.kind != "failure"
-                        or upcoming.time > event.time + _TIME_EPS
-                    ):
-                        break
-                    failure = queue.pop().payload
-                    link_factors[failure.link] = failure.factor
-                    _FAILURES.inc()
-                policy.set_link_factors(dict(link_factors))
+                _apply_failure_burst(queue, event, link_factors, policy)
                 touch(event.time)
                 continue
             job = event.payload

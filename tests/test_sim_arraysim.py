@@ -1,20 +1,26 @@
-"""Tests for the array-state simulator engines (PR 10).
+"""Tests for the simulator's ``engine=`` switch and the array-state
+micro-batched loop.
 
-Covers engine selection, byte-identity of the array engines against the
-object engines (the property the ``REPRO_SHADOW`` cross-check enforces
-in production), parallel-shard determinism with merged telemetry, the
+Covers engine selection, the single per-event loop behind every engine
+name, byte-identity of the array micro-batched loop against the object
+one (the property the ``REPRO_SHADOW`` cross-check enforces in
+production), parallel-shard determinism with merged telemetry, the
 shadow-quarantine path, and the chaos harness's engine parity check.
 """
 
 import math
-import os
-import random
 
 import pytest
 
 from repro.core.topology import ClosNetwork
-from repro.errors import BackendUnavailableError
-from repro.sim.flowsim import SimulationError, simulate
+from repro.sim import arraysim
+from repro.sim.arraysim import (
+    AUTO_THRESHOLD,
+    ENGINES,
+    resolve_engine,
+    results_equivalent,
+)
+from repro.sim.flowsim import simulate
 from repro.sim.jobs import (
     JOB_COLUMNS,
     FlowJob,
@@ -30,15 +36,6 @@ from repro.sim.policies import (
 )
 from repro.sim.stream import simulate_sharded, simulate_stream
 from repro.workloads.stochastic import churn_workload
-
-np = pytest.importorskip("numpy")
-
-from repro.sim import arraysim  # noqa: E402
-from repro.sim.arraysim import (  # noqa: E402
-    AUTO_THRESHOLD,
-    resolve_engine,
-    results_equivalent,
-)
 
 
 @pytest.fixture
@@ -67,34 +64,135 @@ def _require_same(a, b):
     assert math.isclose(a.work_done, b.work_done, rel_tol=1e-9, abs_tol=1e-9)
 
 
+def _every_engine(jobs, make_policy, **kwargs):
+    """Run ``simulate`` under every engine name with a fresh policy each
+    and require results ``==`` to ``engine="object"`` (there is one
+    per-event loop)."""
+    want = simulate(jobs, make_policy(), engine="object", **kwargs)
+    for engine in ENGINES:
+        got = simulate(jobs, make_policy(), engine=engine, **kwargs)
+        assert got == want, engine
+
+
+def _stream_engines(jobs, make_policy, batch_window=0.1, **kwargs):
+    """The object and array micro-batched loops on the same input, each
+    with a fresh policy."""
+    return [
+        simulate_stream(
+            jobs, make_policy(), batch_window=batch_window, engine=engine,
+            **kwargs,
+        )
+        for engine in ("object", "array")
+    ]
+
+
 class TestEngineSelection:
     def test_unknown_engine_rejected(self, clos):
         job = FlowJob(0, clos.sources[0], clos.destinations[0], 0.0, 1.0)
         with pytest.raises(ValueError, match="engine"):
             simulate([job], MaxMinCongestionControl(clos), engine="turbo")
+        with pytest.raises(ValueError, match="engine"):
+            simulate_stream(
+                [job], MaxMinCongestionControl(clos), batch_window=0.1,
+                engine="turbo",
+            )
 
     def test_auto_picks_object_below_threshold(self):
         assert resolve_engine("auto", AUTO_THRESHOLD - 1) == "object"
         assert resolve_engine("auto", AUTO_THRESHOLD) == "array"
+        # the des_batched benchmark workload (~20k jobs) runs the array loop
+        assert resolve_engine("auto", 20_000) == "array"
 
     def test_explicit_engines_resolve_to_themselves(self):
         assert resolve_engine("object", 10_000) == "object"
         assert resolve_engine("array", 1) == "array"
 
-    def test_array_without_numpy_raises(self, monkeypatch):
-        monkeypatch.setattr(arraysim, "_numpy", lambda: None)
-        with pytest.raises(BackendUnavailableError):
-            resolve_engine("array", 1)
-        # auto degrades to the object engine instead of raising
-        assert resolve_engine("auto", 10_000) == "object"
 
 
 class TestPerEventByteIdentity:
+    """``simulate`` has one loop: every engine name returns exactly the
+    ``engine="object"`` result, ``work_done`` included."""
+
     @pytest.mark.parametrize("seed", range(4))
     def test_poisson_maxmin(self, clos, seed):
         jobs = poisson_workload(clos, rate=3.0, horizon=4.0, seed=seed)
-        want = simulate(jobs, MaxMinCongestionControl(clos), engine="object")
-        got = simulate(jobs, MaxMinCongestionControl(clos), engine="array")
+        _every_engine(jobs, lambda: MaxMinCongestionControl(clos))
+
+    @pytest.mark.parametrize(
+        "make_policy",
+        [
+            lambda net: MaxMinCongestionControl(net, backend="streaming"),
+            lambda net: ProcessorSharing(net),
+            lambda net: MatchingScheduler(net, srpt=True),
+        ],
+        ids=["streaming", "processor-sharing", "matching-srpt"],
+    )
+    def test_policies(self, clos, make_policy):
+        jobs = poisson_workload(clos, rate=2.0, horizon=5.0, seed=7)
+        _every_engine(jobs, lambda: make_policy(clos))
+
+    def test_same_instant_burst(self, clos):
+        jobs = incast_burst(clos, fan_in=4, arrival=1.0, size=2.0)
+        _every_engine(jobs, lambda: MaxMinCongestionControl(clos))
+
+    def test_zero_size_jobs(self, clos):
+        jobs = [
+            FlowJob(0, clos.sources[0], clos.destinations[0], 0.5, 0.0),
+            FlowJob(1, clos.sources[1], clos.destinations[1], 0.5, 1.0),
+        ]
+        _every_engine(jobs, lambda: MaxMinCongestionControl(clos))
+
+    def test_max_time_truncation(self, clos):
+        jobs = poisson_workload(clos, rate=3.0, horizon=4.0, seed=2)
+        _every_engine(
+            jobs, lambda: MaxMinCongestionControl(clos), max_time=1.5
+        )
+
+    def test_failure_schedule(self, clos):
+        from fractions import Fraction
+
+        from repro.failures.schedule import FailureSchedule
+
+        jobs = poisson_workload(clos, rate=2.0, horizon=6.0, seed=5)
+        schedule = FailureSchedule.random_flaps(
+            clos, count=3, horizon=4.0, seed=5, severity=Fraction(1, 4)
+        )
+        _every_engine(
+            jobs,
+            lambda: MaxMinCongestionControl(clos, seed=5),
+            failure_schedule=schedule,
+        )
+
+    def test_error_parity_negative_arrival(self, clos):
+        jobs = [FlowJob(0, clos.sources[0], clos.destinations[0], -1.0, 1.0)]
+        messages = set()
+        for engine in ENGINES:
+            with pytest.raises(ValueError) as error:
+                simulate(jobs, MaxMinCongestionControl(clos), engine=engine)
+            messages.add(str(error.value))
+        assert len(messages) == 1
+
+
+class TestStreamByteIdentity:
+    """The array micro-batched loop mirrors the object one."""
+
+    @pytest.mark.parametrize("window", [0.05, 0.5])
+    def test_micro_batched(self, clos, window):
+        jobs = poisson_workload(clos, rate=3.0, horizon=5.0, seed=3)
+        want, got = _stream_engines(
+            jobs,
+            lambda: MaxMinCongestionControl(clos, backend="streaming"),
+            batch_window=window,
+        )
+        _require_same(got, want)
+
+    def test_max_time(self, clos):
+        jobs = poisson_workload(clos, rate=3.0, horizon=5.0, seed=4)
+        want, got = _stream_engines(
+            jobs,
+            lambda: MaxMinCongestionControl(clos, backend="streaming"),
+            max_time=2.0,
+        )
         _require_same(got, want)
 
     @pytest.mark.parametrize(
@@ -108,14 +206,14 @@ class TestPerEventByteIdentity:
     )
     def test_policies(self, clos, make_policy):
         jobs = poisson_workload(clos, rate=2.0, horizon=5.0, seed=7)
-        want = simulate(jobs, make_policy(clos), engine="object")
-        got = simulate(jobs, make_policy(clos), engine="array")
+        want, got = _stream_engines(jobs, lambda: make_policy(clos))
         _require_same(got, want)
 
     def test_same_instant_burst(self, clos):
         jobs = incast_burst(clos, fan_in=4, arrival=1.0, size=2.0)
-        want = simulate(jobs, MaxMinCongestionControl(clos), engine="object")
-        got = simulate(jobs, MaxMinCongestionControl(clos), engine="array")
+        want, got = _stream_engines(
+            jobs, lambda: MaxMinCongestionControl(clos)
+        )
         _require_same(got, want)
 
     def test_zero_size_jobs(self, clos):
@@ -123,17 +221,8 @@ class TestPerEventByteIdentity:
             FlowJob(0, clos.sources[0], clos.destinations[0], 0.5, 0.0),
             FlowJob(1, clos.sources[1], clos.destinations[1], 0.5, 1.0),
         ]
-        want = simulate(jobs, MaxMinCongestionControl(clos), engine="object")
-        got = simulate(jobs, MaxMinCongestionControl(clos), engine="array")
-        _require_same(got, want)
-
-    def test_max_time_truncation(self, clos):
-        jobs = poisson_workload(clos, rate=3.0, horizon=4.0, seed=2)
-        want = simulate(
-            jobs, MaxMinCongestionControl(clos), max_time=1.5, engine="object"
-        )
-        got = simulate(
-            jobs, MaxMinCongestionControl(clos), max_time=1.5, engine="array"
+        want, got = _stream_engines(
+            jobs, lambda: MaxMinCongestionControl(clos)
         )
         _require_same(got, want)
 
@@ -146,63 +235,26 @@ class TestPerEventByteIdentity:
         schedule = FailureSchedule.random_flaps(
             clos, count=3, horizon=4.0, seed=5, severity=Fraction(1, 4)
         )
-        want = simulate(
+        want, got = _stream_engines(
             jobs,
-            MaxMinCongestionControl(clos, seed=5),
+            lambda: MaxMinCongestionControl(clos, seed=5),
             failure_schedule=schedule,
-            engine="object",
-        )
-        got = simulate(
-            jobs,
-            MaxMinCongestionControl(clos, seed=5),
-            failure_schedule=schedule,
-            engine="array",
         )
         _require_same(got, want)
 
     def test_error_parity_negative_arrival(self, clos):
         jobs = [FlowJob(0, clos.sources[0], clos.destinations[0], -1.0, 1.0)]
         with pytest.raises(ValueError) as obj_err:
-            simulate(jobs, MaxMinCongestionControl(clos), engine="object")
+            simulate_stream(
+                jobs, MaxMinCongestionControl(clos), batch_window=0.1,
+                engine="object",
+            )
         with pytest.raises(ValueError) as arr_err:
-            simulate(jobs, MaxMinCongestionControl(clos), engine="array")
+            simulate_stream(
+                jobs, MaxMinCongestionControl(clos), batch_window=0.1,
+                engine="array",
+            )
         assert str(obj_err.value) == str(arr_err.value)
-
-
-class TestStreamByteIdentity:
-    @pytest.mark.parametrize("window", [0.05, 0.5])
-    def test_micro_batched(self, clos, window):
-        jobs = poisson_workload(clos, rate=3.0, horizon=5.0, seed=3)
-        want = simulate_stream(
-            jobs,
-            MaxMinCongestionControl(clos, backend="streaming"),
-            batch_window=window,
-            engine="object",
-        )
-        got = simulate_stream(
-            jobs,
-            MaxMinCongestionControl(clos, backend="streaming"),
-            batch_window=window,
-            engine="array",
-        )
-        _require_same(got, want)
-
-    def test_max_time(self, clos):
-        jobs = poisson_workload(clos, rate=3.0, horizon=5.0, seed=4)
-        kwargs = dict(batch_window=0.1, max_time=2.0)
-        want = simulate_stream(
-            jobs,
-            MaxMinCongestionControl(clos, backend="streaming"),
-            engine="object",
-            **kwargs,
-        )
-        got = simulate_stream(
-            jobs,
-            MaxMinCongestionControl(clos, backend="streaming"),
-            engine="array",
-            **kwargs,
-        )
-        _require_same(got, want)
 
     def test_zero_window_delegates_to_per_event(self, clos):
         jobs = poisson_workload(clos, rate=2.0, horizon=3.0, seed=1)
@@ -215,9 +267,9 @@ class TestStreamByteIdentity:
         per_event = simulate(
             jobs,
             MaxMinCongestionControl(clos, backend="streaming"),
-            engine="array",
+            engine="object",
         )
-        _require_same(streamed, per_event)
+        assert streamed == per_event
 
 
 class TestShardedDeterminism:
@@ -314,24 +366,28 @@ class TestShadowCrossCheck:
     def test_divergence_quarantined_and_corrected(
         self, clos, monkeypatch, tmp_path
     ):
-        """A corrupted array engine is caught by the sampled shadow
-        re-run: the object result is returned and a ``sim-mismatch``
-        bundle is written."""
+        """A corrupted array loop is caught by the sampled shadow re-run:
+        the object result is returned and a ``sim-mismatch`` bundle is
+        written."""
         monkeypatch.setenv("REPRO_SHADOW", "1.0")
         jobs = poisson_workload(clos, rate=2.0, horizon=3.0, seed=11)
-        honest = simulate(
-            jobs, MaxMinCongestionControl(clos), engine="object"
+        honest = simulate_stream(
+            jobs, MaxMinCongestionControl(clos), batch_window=0.1,
+            engine="object",
         )
 
-        real = arraysim._simulate_array
+        real = arraysim._simulate_stream_array
 
         def corrupted(*args, **kwargs):
             result = real(*args, **kwargs)
             return result._replace(end_time=result.end_time + 1.0)
 
-        monkeypatch.setattr(arraysim, "_simulate_array", corrupted)
-        got = simulate(jobs, MaxMinCongestionControl(clos), engine="array")
-        assert got == honest  # the object engine out-voted the corruption
+        monkeypatch.setattr(arraysim, "_simulate_stream_array", corrupted)
+        got = simulate_stream(
+            jobs, MaxMinCongestionControl(clos), batch_window=0.1,
+            engine="array",
+        )
+        assert got == honest  # the object loop out-voted the corruption
         bundles = _bundles(tmp_path)
         assert len(bundles) == 1
         from repro.quarantine import load_bundle
@@ -344,7 +400,10 @@ class TestShadowCrossCheck:
     def test_agreement_writes_nothing(self, clos, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SHADOW", "1.0")
         jobs = poisson_workload(clos, rate=2.0, horizon=3.0, seed=12)
-        simulate(jobs, MaxMinCongestionControl(clos), engine="array")
+        simulate_stream(
+            jobs, MaxMinCongestionControl(clos), batch_window=0.1,
+            engine="array",
+        )
         assert _bundles(tmp_path) == []
 
 

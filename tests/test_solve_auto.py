@@ -33,13 +33,6 @@ from repro.validate import rate_disagreements, set_validation_level, validation
 
 from tests.helpers import random_flows, random_routing
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    HAVE_NUMPY = False
-
 
 @pytest.fixture(autouse=True)
 def clean_state(monkeypatch, tmp_path):
@@ -93,7 +86,6 @@ class TestAutoChain:
         got = solve_max_min(routing, capacities, backend="auto")
         assert got.rates() == expected.rates()
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
     def test_float_chain_survives_vectorized_failure(
         self, instance, monkeypatch
     ):
@@ -113,12 +105,11 @@ class TestAutoChain:
         self, instance, monkeypatch
     ):
         routing, capacities = instance
-        if HAVE_NUMPY:
-            import repro.core.vectorized as vectorized_module
+        import repro.core.vectorized as vectorized_module
 
-            monkeypatch.setattr(
-                vectorized_module, "max_min_fair_vectorized", _boom
-            )
+        monkeypatch.setattr(
+            vectorized_module, "max_min_fair_vectorized", _boom
+        )
         monkeypatch.setattr(fastmaxmin_module, "max_min_fair_fast", _boom)
         expected = max_min_fair(routing, capacities, exact=False)
         got = solve_max_min(
@@ -164,7 +155,6 @@ class TestAutoChain:
 
 
 class TestShadowChecks:
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
     def test_shadow_disagreement_quarantines_and_corrects(
         self, instance, monkeypatch
     ):
@@ -308,7 +298,6 @@ class TestQuarantineRoundTrip:
         assert result.minimized_path is None
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 class TestCorruptedBackendEndToEnd:
     """The acceptance scenario: a corrupted vectorized kernel is caught
     by its certificate, the auto chain degrades and quarantines, and
